@@ -16,7 +16,6 @@
 #include "place/nesterov.hpp"
 #include "place/objective.hpp"
 #include "place/routability_loop.hpp"
-#include "recover/checkpoint.hpp"
 #include "recover/durable_checkpoint.hpp"
 #include "recover/fault_injection.hpp"
 #include "recover/kill_points.hpp"
@@ -143,13 +142,6 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                            cfg_.gamma_frac *
                                std::max(grid.bin_w(), grid.bin_h()));
 
-    auto project = [&](size_t slot, Vec2 p) {
-        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
-        const Rect r = d.region;
-        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
-                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
-    };
-
     // ---- Stage 1: wirelength-driven GP ------------------------------------
     // Skipped entirely when resuming from a routability-stage snapshot:
     // everything it would compute is superseded by the snapshot state.
@@ -167,11 +159,9 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
         NesterovSolver solver(pos, nes_cfg);
         std::vector<Vec2> grad;
 
-        const double gamma0 =
-            cfg_.gamma_frac * std::max(grid.bin_w(), grid.bin_h());
+        // WA gamma decays from its construction value down to gamma_min.
         const double gamma_min =
             cfg_.gamma_min_frac * std::max(grid.bin_w(), grid.bin_h());
-        double gamma = gamma0;
 
         // lambda_1 initialization: ||grad W||_1 / ||grad D||_1.
         obj.set_lambda1(0.0);
@@ -185,37 +175,49 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
             obj.set_lambda1(l1);
         }
 
-        // Physical wirelength bound (one die span per net), the floor of
-        // the explosion threshold: early-stage spreading legitimately
-        // grows the WA total many-fold and must never false-positive.
-        double die_bound = d.region.width() + d.region.height();
-        {
-            int nets = 0;
-            for (const Net& n : d.nets)
-                if (n.degree() >= 2) ++nets;
-            die_bound *= static_cast<double>(std::max(nets, 1));
-        }
-
-        recover::StageCheckpoint ckpt;
+        const double die_bound = die_wirelength_bound(d);
+        const auto project = region_projection(d, movable);
+        recover::PipelineSnapshot ckpt;  // rollback point (recovery active)
         size_t hist_at_ckpt = 0;
         double last_wl = 0.0;
-
         int it = 0;
+
+        // The stage's pipeline state (DESIGN.md §11, §16): one capture from
+        // the live solver and schedule serves the rollback checkpoint and
+        // the journal; one apply restores it — positions and schedule on a
+        // rollback (the Nesterov momentum restarts), everything on resume.
+        auto capture = [&](recover::PipelineSnapshot& s) {
+            s.stage = recover::kStageWirelength;
+            s.iter = it;
+            s.pos = solver.solution();
+            s.opt = solver.snapshot();
+            s.lambda1 = obj.lambda1();
+            s.gamma = obj.gamma();
+            s.lambda1_growth = lambda1_growth;
+            s.initial_step = nes_cfg.initial_step;
+            s.last_wl = last_wl;
+        };
+        auto apply = [&](const recover::PipelineSnapshot& s,
+                         bool resume_all) {
+            it = s.iter;
+            res.wl_iters = s.iter;
+            if (resume_all) {
+                nes_cfg.initial_step = s.initial_step;
+                lambda1_growth = s.lambda1_growth;
+                last_wl = s.last_wl;
+            }
+            solver = NesterovSolver(s.pos, nes_cfg);
+            if (resume_all) solver.restore(s.opt);
+            obj.set_lambda1(s.lambda1);
+            obj.set_gamma(s.gamma);
+        };
+
         if (resume && resume->stage == recover::kStageWirelength) {
-            // Rebuild the optimizer exactly as serialized: positions plus
-            // the full momentum state, under the snapshot's (possibly
-            // recovery-adjusted) step and schedule knobs. The iterations
-            // from here on are bitwise identical to the uninterrupted run.
-            it = resume->iter;
-            res.wl_iters = resume->iter;
-            nes_cfg.initial_step = resume->initial_step;
-            lambda1_growth = resume->lambda1_growth;
-            solver = NesterovSolver(resume->pos, nes_cfg);
-            solver.restore(resume->opt);
-            obj.set_lambda1(resume->lambda1);
-            gamma = resume->gamma;
-            obj.set_gamma(gamma);
-            last_wl = resume->last_wl;
+            // Rebuild the optimizer exactly as serialized, under the
+            // snapshot's (possibly recovery-adjusted) step and schedule
+            // knobs. The iterations from here on are bitwise identical to
+            // the uninterrupted run.
+            apply(*resume, true);
             RDP_LOG_INFO() << "resumed wirelength-gp at iteration " << it;
         }
         // Recovery ladder for the wirelength stage: roll back to the last
@@ -231,13 +233,8 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                     lambda1_growth = 1.0 + (lambda1_growth - 1.0) *
                                                cfg_.recover.lambda_tighten;
                 }
-                solver = NesterovSolver(ckpt.pos, nes_cfg);
-                obj.set_lambda1(ckpt.lambda1);
-                gamma = ckpt.gamma;
-                obj.set_gamma(gamma);
+                apply(ckpt, false);
                 res.overflow_history.resize(hist_at_ckpt);
-                res.wl_iters = ckpt.iter;
-                it = ckpt.iter;
             }
             if (!retry) {
                 sguard.degrade(kind, it,
@@ -259,24 +256,12 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
             if (sguard.active() &&
                 (!ckpt.valid() ||
                  it - ckpt.iter >= cfg_.recover.checkpoint_every)) {
-                ckpt.iter = it;
-                ckpt.pos = solver.solution();
-                ckpt.lambda1 = obj.lambda1();
-                ckpt.gamma = gamma;
-                ckpt.wirelength = last_wl;
+                capture(ckpt);
                 hist_at_ckpt = res.overflow_history.size();
             }
             if (durable.enabled() && it % durable.every() == 0) {
                 recover::PipelineSnapshot snap;
-                snap.stage = recover::kStageWirelength;
-                snap.iter = it;
-                snap.pos = solver.solution();
-                snap.opt = solver.snapshot();
-                snap.lambda1 = obj.lambda1();
-                snap.gamma = gamma;
-                snap.lambda1_growth = lambda1_growth;
-                snap.initial_step = nes_cfg.initial_step;
-                snap.last_wl = last_wl;
+                capture(snap);
                 durable.save(snap);
             }
             recover::crash::maybe_kill("wl-mid");
@@ -285,67 +270,32 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                     recover::fault::fire("wirelength-gp",
                                          recover::FaultKind::HpwlExplosion,
                                          it)) {
-                    // Fling the optimizer state far outside the die.
-                    std::vector<Vec2> blown = solver.solution();
-                    const Vec2 c = d.region.center();
-                    for (Vec2& p : blown)
-                        p = {c.x + (p.x - c.x) * 1e4,
-                             c.y + (p.y - c.y) * 1e4};
-                    solver = NesterovSolver(std::move(blown), nes_cfg);
+                    solver = NesterovSolver(
+                        fling_out(solver.solution(), d.region.center()),
+                        nes_cfg);
                 }
                 const ObjectiveTerms terms =
                     obj.evaluate(d, movable, solver.reference(), grad);
-                if (sguard.active()) {
-                    // Divergence detection (observe-only): non-finite
-                    // terms, or wirelength beyond k x checkpoint/die bound.
-                    const double tsum = terms.wirelength + terms.density +
-                                        terms.overflow;
-                    if (!std::isfinite(tsum)) {
-                        std::ostringstream oss;
-                        oss << "non-finite objective terms at iteration "
-                            << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN,
-                            "wirelength-gp", oss.str());
-                    }
-                    const double bound =
+                if (sguard.active())
+                    check_objective_terms(
+                        terms.wirelength + terms.density + terms.overflow,
+                        terms.wirelength,
                         cfg_.recover.hpwl_explosion_factor *
-                        std::max(ckpt.wirelength, die_bound);
-                    if (terms.wirelength > bound) {
-                        std::ostringstream oss;
-                        oss << "WA wirelength " << terms.wirelength
-                            << " exceeds the explosion bound " << bound;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::HpwlExplosion,
-                            "wirelength-gp", oss.str());
-                    }
-                }
+                            std::max(ckpt.last_wl, die_bound),
+                        "wirelength-gp", "iteration", it);
                 res.overflow_history.push_back(terms.overflow);
                 if (sguard.active() && !grad.empty() &&
                     recover::fault::fire("wirelength-gp",
                                          recover::FaultKind::GradientNaN,
                                          it))
                     grad[0].x = std::numeric_limits<double>::quiet_NaN();
-                if (sguard.active()) {
-                    // Catch non-finite gradients before they step: a NaN
-                    // position would poison every later evaluation (and the
-                    // grid index casts behind it).
-                    for (size_t gi = 0; gi < grad.size(); ++gi) {
-                        if (std::isfinite(grad[gi].x) &&
-                            std::isfinite(grad[gi].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite gradient of slot " << gi
-                            << " at iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN,
-                            "wirelength-gp", oss.str());
-                    }
-                }
+                if (sguard.active())
+                    check_finite(grad, "wirelength-gp", "gradient",
+                                 "iteration", it);
                 solver.step(grad, project);
                 obj.set_lambda1(obj.lambda1() * lambda1_growth);
-                gamma = std::max(gamma * cfg_.gamma_decay, gamma_min);
-                obj.set_gamma(gamma);
+                obj.set_gamma(
+                    std::max(obj.gamma() * cfg_.gamma_decay, gamma_min));
                 ++res.wl_iters;
                 last_wl = terms.wirelength;
                 if (cfg_.verbose && it % 50 == 0) {

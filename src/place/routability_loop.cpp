@@ -10,7 +10,6 @@
 #include "audit/invariant_audit.hpp"
 #include "congestion/rudy.hpp"
 #include "pinaccess/dynamic_density.hpp"
-#include "recover/checkpoint.hpp"
 #include "recover/durable_checkpoint.hpp"
 #include "recover/fault_injection.hpp"
 #include "recover/kill_points.hpp"
@@ -69,14 +68,6 @@ double budget_inflation(const Design& d, int first_filler,
     return filler_ratio;
 }
 
-namespace {
-
-constexpr const char* kStage = "routability-gp";
-
-/// Physical upper bound on any in-region WA wirelength: one die span
-/// (width + height) per routed net. The explosion threshold is floored at
-/// a multiple of this so legitimate many-fold wirelength growth (early
-/// spreading) can never false-positive.
 double die_wirelength_bound(const Design& d) {
     int nets = 0;
     for (const Net& n : d.nets)
@@ -84,6 +75,55 @@ double die_wirelength_bound(const Design& d) {
     return (d.region.width() + d.region.height()) *
            static_cast<double>(std::max(nets, 1));
 }
+
+std::function<Vec2(size_t, Vec2)> region_projection(
+    const Design& d, const std::vector<int>& movable) {
+    return [&d, &movable](size_t slot, Vec2 p) {
+        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
+        const Rect r = d.region;
+        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
+                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
+    };
+}
+
+void check_finite(const std::vector<Vec2>& v, const char* stage,
+                  const char* what, const char* at, int it) {
+    for (size_t i = 0; i < v.size(); ++i) {
+        if (std::isfinite(v[i].x) && std::isfinite(v[i].y)) continue;
+        std::ostringstream oss;
+        oss << "non-finite " << what << " of slot " << i;
+        if (at != nullptr) oss << " at " << at << " " << it;
+        throw recover::RecoverableError(recover::FaultKind::GradientNaN,
+                                        stage, oss.str());
+    }
+}
+
+void check_objective_terms(double term_sum, double wirelength, double bound,
+                           const char* stage, const char* at, int it) {
+    if (!std::isfinite(term_sum)) {
+        std::ostringstream oss;
+        oss << "non-finite objective terms at " << at << " " << it;
+        throw recover::RecoverableError(recover::FaultKind::GradientNaN,
+                                        stage, oss.str());
+    }
+    if (wirelength > bound) {
+        std::ostringstream oss;
+        oss << "WA wirelength " << wirelength
+            << " exceeds the explosion bound " << bound;
+        throw recover::RecoverableError(recover::FaultKind::HpwlExplosion,
+                                        stage, oss.str());
+    }
+}
+
+std::vector<Vec2> fling_out(std::vector<Vec2> pos, Vec2 c) {
+    for (Vec2& p : pos)
+        p = {c.x + (p.x - c.x) * 1e4, c.y + (p.y - c.y) * 1e4};
+    return pos;
+}
+
+namespace {
+
+constexpr const char* kStage = "routability-gp";
 
 /// Recovery-side mirror of audit::check_congestion_map for runs with the
 /// audits compiled out or disabled: same predicate, RecoverableError
@@ -143,6 +183,16 @@ RoutabilityStats run_routability_stage(
     recover::StageGuard guard(kStage, cfg.recover, &stats.recovery);
     const BinGrid& grid = obj.grid();
 
+    // The stage's pipeline state (DESIGN.md §11, §16). Positions, ratios,
+    // the extra-density field, schedule scalars, keep-best and divergence
+    // history live in `st` itself; capture() refreshes the fields other
+    // live objects own, so the journal serializes `st` in place.
+    recover::PipelineSnapshot st;
+    st.stage = recover::kStageRoutability;
+    st.lambda1_growth = cfg.lambda1_growth;
+    st.dc = cfg.mode == PlacerMode::Ours && cfg.enable_dc;
+    st.dpa = cfg.mode == PlacerMode::Ours && cfg.enable_dpa;
+
     // Recovery-adjustable knobs. On a clean run they keep their configured
     // values for the whole stage, so behavior is identical to an unguarded
     // loop; the recovery ladder below is the only writer.
@@ -162,47 +212,90 @@ RoutabilityStats run_routability_stage(
     inc_route.rebuild_epoch = static_cast<int>(
         env::int_or("RDP_REBUILD_EPOCH", 16, 0, 1 << 20));
     IncrementalRudyState inc_rudy;
-    double lambda1_growth = cfg.lambda1_growth;
 
     CongestionField field(grid);
 
-    bool dc = cfg.mode == PlacerMode::Ours && cfg.enable_dc;
-    bool dpa = cfg.mode == PlacerMode::Ours && cfg.enable_dpa;
-
     auto scheme = make_inflation_scheme(cfg, d.num_cells());
-    std::vector<double> effective_ratios(
-        static_cast<size_t>(d.num_cells()), 1.0);
-    obj.set_inflation(&effective_ratios);
+    st.ratios.assign(static_cast<size_t>(d.num_cells()), 1.0);
+    obj.set_inflation(&st.ratios);
 
     const GridF rail_area = rail_area_per_bin(selected_rails, grid);
     // Static PG density (Xplace-Route style): fixed before the loop.
-    GridF extra = static_pg_density(rail_area, cfg.static_pg_weight);
-    obj.set_extra_density(&extra);
+    st.extra = static_pg_density(rail_area, cfg.static_pg_weight);
+    obj.set_extra_density(&st.extra);
 
     // Optimizer state: continue from the stage-1 result.
-    std::vector<Vec2> pos(movable.size());
+    st.pos.resize(movable.size());
     for (size_t i = 0; i < movable.size(); ++i)
-        pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
-
-    auto project = [&](size_t slot, Vec2 p) {
-        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
-        const Rect r = d.region;
-        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
-                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
+        st.pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
+    auto place_cells = [&](const std::vector<Vec2>& p) {
+        for (size_t i = 0; i < movable.size(); ++i)
+            d.cells[static_cast<size_t>(movable[i])].pos = p[i];
     };
+    const auto project = region_projection(d, movable);
 
-    double best_metric = std::numeric_limits<double>::max();
-    double best_overflow = std::numeric_limits<double>::max();
-    std::vector<Vec2> best_pos = pos;
-    // Bookkeeping paired with best_pos: the snapshot is taken before the
-    // iteration's inflation update, so the state it was scored with is the
-    // *current* ratios/extra charge — restored together at stage end.
-    std::vector<double> best_ratios = effective_ratios;
-    double best_extra_area = grid_sum(extra);
-    InflationSnapshot best_inflation = scheme->snapshot();
-    int best_iter = -1;
-    int stall = 0;
     CongestionMap cmap;
+    int outer = 0;
+
+    // Capture: refresh `st` from the live objects. The rollback
+    // checkpoint, keep-best and the journal all read `st` right after it.
+    auto capture = [&] {
+        st.iter = outer;
+        st.lambda1 = obj.lambda1();
+        st.gamma = obj.gamma();
+        st.initial_step = nes_cfg.initial_step;
+        st.inflation = scheme->snapshot();
+        st.router_overflow_penalty = router_cfg.overflow_penalty;
+        st.router_layer_capacity.clear();
+        for (const LayerSpec& l : router_cfg.layers)
+            st.router_layer_capacity.push_back(l.capacity);
+        if (cmap.demand().width() > 0) {
+            st.cmap_demand = cmap.demand();
+            st.cmap_capacity = cmap.capacity();
+        }
+    };
+    // Apply a captured state back onto the live objects: all of it on
+    // resume; positions, penalty schedule and inflation bookkeeping (always
+    // together) on rollback. The inner solver, and so its momentum, is
+    // rebuilt every outer iteration either way.
+    auto apply = [&](const recover::PipelineSnapshot& s, bool resume_all) {
+        if (resume_all) {
+            st = s;
+        } else {
+            st.pos = s.pos;
+            st.ratios = s.ratios;
+        }
+        place_cells(st.pos);
+        obj.set_lambda1(s.lambda1);
+        obj.set_gamma(s.gamma);
+        scheme->restore(s.inflation);
+        if (!resume_all) return;
+        outer = s.iter;
+        stats.outer_iters = s.iter;
+        nes_cfg.initial_step = s.initial_step;
+        router_cfg.overflow_penalty = s.router_overflow_penalty;
+        if (s.router_layer_capacity.size() == router_cfg.layers.size())
+            for (size_t i = 0; i < router_cfg.layers.size(); ++i)
+                router_cfg.layers[i].capacity = s.router_layer_capacity[i];
+        router = std::make_unique<GlobalRouter>(grid, router_cfg);
+        if (s.cmap_demand.width() > 0)
+            cmap = CongestionMap(grid, s.cmap_demand, s.cmap_capacity);
+    };
+    // Keep-best: record the current state as the best-routed snapshot. It
+    // is taken before the iteration's inflation update, so the bookkeeping
+    // it pairs with is the *current* ratios/extra charge/scheme history —
+    // restored together at stage end.
+    auto keep_best = [&](double severe, int iter) {
+        capture();
+        st.best_overflow = severe;
+        st.best_pos = st.pos;
+        st.best_ratios = st.ratios;
+        st.best_extra_area = grid_sum(st.extra);
+        st.best_inflation = st.inflation;
+        st.best_iter = iter;
+    };
+    keep_best(std::numeric_limits<double>::max(), -1);  // the entry state
+    st.best_metric = std::numeric_limits<double>::max();
     obj.set_lambda2_scale(cfg.dc_weight);
 
     // Fresh lambda_1 for the stage: the stage-1 schedule leaves it orders
@@ -211,7 +304,7 @@ RoutabilityStats run_routability_stage(
     if (resume == nullptr) {
         std::vector<Vec2> grad0;
         obj.set_lambda1(0.0);
-        const ObjectiveTerms t0 = obj.evaluate(d, movable, pos, grad0);
+        const ObjectiveTerms t0 = obj.evaluate(d, movable, st.pos, grad0);
         const double ratio = t0.density_grad_l1 > 0.0
                                  ? t0.wl_grad_l1 / t0.density_grad_l1
                                  : 1.0;
@@ -219,57 +312,15 @@ RoutabilityStats run_routability_stage(
     }
 
     const double die_bound = die_wirelength_bound(d);
-    recover::StageCheckpoint ckpt;
-    std::vector<double> osc_window;  // severity per iter, divergence window
-    double last_wl = 0.0;            // last healthy WA total (explosion base)
-    bool use_ckpt_cmap = false;      // CorruptedDemand fallback, one-shot
+    recover::PipelineSnapshot ckpt;  // rollback point (recovery active)
 
-    int outer = 0;
     if (resume != nullptr) {
         // Durable resume (DESIGN.md §16): restore every input the loop
-        // body reads — positions, schedules, inflation bookkeeping, the
-        // best-so-far snapshot, router relaxations, maps, and divergence
-        // history — then drop the incremental caches exactly as a recovery
-        // rollback does (they reconcile against positions this process
-        // never routed). The remaining iterations are then bitwise
+        // body reads, then drop the incremental caches exactly as a
+        // recovery rollback does (they reconcile against positions this
+        // process never routed). The remaining iterations are then bitwise
         // identical to the uninterrupted run.
-        outer = resume->iter;
-        pos = resume->pos;
-        for (size_t i = 0; i < movable.size(); ++i)
-            d.cells[static_cast<size_t>(movable[i])].pos = pos[i];
-        obj.set_lambda1(resume->lambda1);
-        // Stage 1 was skipped, so the objective still carries its
-        // construction-time gamma, not the decayed stage-1 result.
-        obj.set_gamma(resume->gamma);
-        lambda1_growth = resume->lambda1_growth;
-        nes_cfg.initial_step = resume->initial_step;
-        last_wl = resume->last_wl;
-        effective_ratios = resume->ratios;
-        scheme->restore(resume->inflation);
-        extra = resume->extra;  // same object obj points at; content swap
-        best_pos = resume->best_pos;
-        best_ratios = resume->best_ratios;
-        best_inflation = resume->best_inflation;
-        best_metric = resume->best_metric;
-        best_overflow = resume->best_overflow;
-        best_extra_area = resume->best_extra_area;
-        best_iter = resume->best_iter;
-        stall = resume->stall;
-        osc_window = resume->osc_window;
-        stats.outer_iters = resume->iter;
-        dc = resume->dc;
-        dpa = resume->dpa;
-        use_ckpt_cmap = resume->use_ckpt_cmap;
-        router_cfg.overflow_penalty = resume->router_overflow_penalty;
-        if (resume->router_layer_capacity.size() ==
-            router_cfg.layers.size())
-            for (size_t i = 0; i < router_cfg.layers.size(); ++i)
-                router_cfg.layers[i].capacity =
-                    resume->router_layer_capacity[i];
-        router = std::make_unique<GlobalRouter>(grid, router_cfg);
-        if (resume->cmap_demand.width() > 0)
-            cmap = CongestionMap(grid, resume->cmap_demand,
-                                 resume->cmap_capacity);
+        apply(*resume, true);
         inc_route.invalidate();
         inc_rudy.invalidate();
         RDP_LOG_INFO() << "resumed " << kStage << " at outer iteration "
@@ -315,8 +366,8 @@ RoutabilityStats run_routability_stage(
                 // First retry re-routes (transient corruption); further
                 // ones fall back to the last-good checkpointed map.
                 if (guard.retries_used() > 1 && ckpt.valid() &&
-                    ckpt.cmap.demand().width() > 0) {
-                    use_ckpt_cmap = true;
+                    ckpt.cmap_demand.width() > 0) {
+                    st.use_ckpt_cmap = true;
                     guard.record(kind, outer, "fallback-demand",
                                  "using the last-good congestion map of"
                                  " iteration " + std::to_string(ckpt.iter));
@@ -327,10 +378,10 @@ RoutabilityStats run_routability_stage(
                 break;
             }
             case FaultKind::CorruptedBudget: {
-                if (ckpt.valid()) {
-                    effective_ratios = ckpt.ratios;
-                    scheme->restore(ckpt.inflation);
-                }
+                // Detected before the inner solve, so positions and the
+                // schedule still equal the checkpoint's; only the
+                // inflation bookkeeping actually changes.
+                if (ckpt.valid()) apply(ckpt, false);
                 guard.record(kind, outer, "reset-inflation",
                              "restored checkpoint inflation bookkeeping");
                 break;
@@ -343,34 +394,26 @@ RoutabilityStats run_routability_stage(
                 // a restored checkpoint must never be scored against them.
                 inc_route.invalidate();
                 inc_rudy.invalidate();
-                if (ckpt.valid()) {
-                    pos = ckpt.pos;
-                    for (size_t i = 0; i < movable.size(); ++i)
-                        d.cells[static_cast<size_t>(movable[i])].pos =
-                            pos[i];
-                    obj.set_lambda1(ckpt.lambda1);
-                    effective_ratios = ckpt.ratios;
-                    scheme->restore(ckpt.inflation);
-                }
+                if (ckpt.valid()) apply(ckpt, false);
                 nes_cfg.initial_step *= cfg.recover.step_shrink;
-                lambda1_growth =
-                    1.0 + (lambda1_growth - 1.0) * cfg.recover.lambda_tighten;
+                st.lambda1_growth = 1.0 + (st.lambda1_growth - 1.0) *
+                                              cfg.recover.lambda_tighten;
                 ++stats.recovery.rollbacks;
                 std::ostringstream oss;
                 oss << "restored checkpoint of outer iteration " << ckpt.iter
                     << "; step x" << cfg.recover.step_shrink
-                    << ", lambda1 growth -> " << lambda1_growth;
+                    << ", lambda1 growth -> " << st.lambda1_growth;
                 guard.record(kind, outer, "rollback", oss.str());
                 if (guard.retries_used() >= cfg.recover.max_retries &&
-                    (dc || dpa)) {
+                    (st.dc || st.dpa)) {
                     // Last rung: skip the optional congestion-directed
                     // terms for the rest of the stage.
-                    dc = false;
-                    dpa = false;
+                    st.dc = false;
+                    st.dpa = false;
                     obj.set_congestion(nullptr, nullptr);
-                    extra = static_pg_density(rail_area,
-                                              cfg.static_pg_weight);
-                    obj.set_extra_density(&extra);
+                    st.extra = static_pg_density(rail_area,
+                                                 cfg.static_pg_weight);
+                    obj.set_extra_density(&st.extra);
                     guard.record(kind, outer, "skip-optional",
                                  "disabled net-moving DC and DPA for the"
                                  " rest of the stage");
@@ -384,56 +427,13 @@ RoutabilityStats run_routability_stage(
     while (outer < cfg.max_route_iters) {
         if (guard.over_budget(outer)) break;
 
-        // Checkpoint the outer boundary: pure copies of the state a
-        // rollback restores, captured only while recovery is active.
-        if (guard.active()) {
-            ckpt.iter = outer;
-            ckpt.pos = pos;
-            ckpt.lambda1 = obj.lambda1();
-            ckpt.ratios = effective_ratios;
-            ckpt.extra_area = grid_sum(extra);
-            ckpt.inflation = scheme->snapshot();
-            ckpt.cmap = cmap;  // last good map (empty before iteration 0)
-            ckpt.wirelength = last_wl;
-        }
-        // Durable journal entry at every outer boundary: an outer
-        // iteration routes the whole design, so the snapshot cost is
-        // noise against the body it fronts.
-        if (durable != nullptr && durable->enabled()) {
-            recover::PipelineSnapshot snap;
-            snap.stage = recover::kStageRoutability;
-            snap.iter = outer;
-            snap.pos = pos;
-            snap.lambda1 = obj.lambda1();
-            snap.gamma = obj.gamma();
-            snap.lambda1_growth = lambda1_growth;
-            snap.initial_step = nes_cfg.initial_step;
-            snap.last_wl = last_wl;
-            snap.ratios = effective_ratios;
-            snap.inflation = scheme->snapshot();
-            snap.best_pos = best_pos;
-            snap.best_ratios = best_ratios;
-            snap.best_inflation = best_inflation;
-            snap.best_metric = best_metric;
-            snap.best_overflow = best_overflow;
-            snap.best_extra_area = best_extra_area;
-            snap.best_iter = best_iter;
-            snap.stall = stall;
-            snap.dc = dc;
-            snap.dpa = dpa;
-            snap.use_ckpt_cmap = use_ckpt_cmap;
-            snap.router_overflow_penalty = router_cfg.overflow_penalty;
-            snap.router_layer_capacity.reserve(router_cfg.layers.size());
-            for (const LayerSpec& l : router_cfg.layers)
-                snap.router_layer_capacity.push_back(l.capacity);
-            snap.extra = extra;
-            if (cmap.demand().width() > 0) {
-                snap.cmap_demand = cmap.demand();
-                snap.cmap_capacity = cmap.capacity();
-            }
-            snap.osc_window = osc_window;
-            durable->save(snap);
-        }
+        // Outer boundary: one capture serves the rollback checkpoint
+        // (pure copies, taken only while recovery is active) and the
+        // durable journal entry. An outer iteration routes the whole
+        // design, so the snapshot cost is noise against the body it fronts.
+        capture();
+        if (guard.active()) ckpt = st;
+        if (durable != nullptr && durable->enabled()) durable->save(st);
         recover::crash::maybe_kill("route-mid");
         // Stats entries of a failed attempt are rolled back with it.
         const size_t mark_overflow = stats.total_overflow.size();
@@ -445,10 +445,11 @@ RoutabilityStats run_routability_stage(
             //    a full global route (the paper) or RUDY (router-free).
             int rrr_executed = 0;
             int rrr_stalled = 0;
-            if (use_ckpt_cmap && ckpt.valid() &&
-                ckpt.cmap.demand().width() > 0) {
-                use_ckpt_cmap = false;
-                cmap = ckpt.cmap;
+            if (st.use_ckpt_cmap && ckpt.valid() &&
+                ckpt.cmap_demand.width() > 0) {
+                st.use_ckpt_cmap = false;
+                cmap = CongestionMap(grid, ckpt.cmap_demand,
+                                     ckpt.cmap_capacity);
             } else if (cfg.use_rudy_congestion) {
                 cmap = rudy_congestion(d, grid, cfg.router, {},
                                        incremental ? &inc_rudy : nullptr);
@@ -541,8 +542,9 @@ RoutabilityStats run_routability_stage(
             }
             // Divergence detection: outer-loop overflow oscillation.
             if (guard.active()) {
-                osc_window.push_back(severe);
-                if (overflow_oscillates(osc_window, cfg.recover.osc_flips,
+                st.osc_window.push_back(severe);
+                if (overflow_oscillates(st.osc_window,
+                                        cfg.recover.osc_flips,
                                         cfg.recover.osc_amplitude)) {
                     std::ostringstream oss;
                     oss << "weighted overflow alternated "
@@ -554,49 +556,43 @@ RoutabilityStats run_routability_stage(
                 }
             }
 
-            if (severe < best_overflow * (1.0 - cfg.keep_best_margin)) {
-                best_overflow = severe;
-                best_pos = pos;
-                best_ratios = effective_ratios;
-                best_extra_area = grid_sum(extra);
-                best_inflation = scheme->snapshot();
-                best_iter = outer;
-            }
+            if (severe < st.best_overflow * (1.0 - cfg.keep_best_margin))
+                keep_best(severe, outer);
 
             // 3'. Dynamic pin-accessibility density adjustment (Eq. 13-15)
             //     is refreshed first so its charge is known to the budget.
-            if (dpa) {
-                extra = dynamic_pg_density(rail_area, cmap);
-                grid_scale(extra, cfg.dpa_weight);
-                obj.set_extra_density(&extra);
+            if (st.dpa) {
+                st.extra = dynamic_pg_density(rail_area, cmap);
+                grid_scale(st.extra, cfg.dpa_weight);
+                obj.set_extra_density(&st.extra);
             }
 
             // 2. Momentum-based (or baseline) cell inflation update,
             //    budgeted (together with the PG charge) against the filler
             //    whitespace so the density stays feasible.
             scheme->update(d, cmap);
-            effective_ratios = scheme->ratios();
-            const double extra_area = grid_sum(extra);
-            budget_inflation(d, first_filler, effective_ratios,
+            st.ratios = scheme->ratios();
+            const double extra_area = grid_sum(st.extra);
+            budget_inflation(d, first_filler, st.ratios,
                              cfg.inflation_budget_frac, extra_area);
             if (guard.active() &&
                 recover::fault::fire(kStage,
                                      recover::FaultKind::CorruptedBudget,
                                      outer) &&
-                !effective_ratios.empty()) {
-                effective_ratios[0] = -1.0;
+                !st.ratios.empty()) {
+                st.ratios[0] = -1.0;
             }
             // Invariant audit: the budgeted ratios must balance —
             // real-cell area growth inside the filler budget, uniform
             // filler shrink.
             if (audit_enabled())
                 audit::check_inflation_budget(d, first_filler,
-                                              effective_ratios,
+                                              st.ratios,
                                               cfg.inflation_budget_frac,
                                               extra_area);
             else if (guard.active()) {
-                for (size_t i = 0; i < effective_ratios.size(); ++i) {
-                    const double r = effective_ratios[i];
+                for (size_t i = 0; i < st.ratios.size(); ++i) {
+                    const double r = st.ratios[i];
                     if (std::isfinite(r) && r > 0.0) continue;
                     std::ostringstream oss;
                     oss << "inflation ratio of cell " << i
@@ -611,7 +607,7 @@ RoutabilityStats run_routability_stage(
                 int n = 0;
                 for (int ci : movable) {
                     if (ci >= first_filler) continue;
-                    acc += effective_ratios[static_cast<size_t>(ci)];
+                    acc += st.ratios[static_cast<size_t>(ci)];
                     ++n;
                 }
                 stats.mean_inflation.push_back(n > 0 ? acc / n : 1.0);
@@ -620,7 +616,7 @@ RoutabilityStats run_routability_stage(
             // 4. Congestion potential field for the DC term (the
             //    bounding-box baseline model needs only the map, not the
             //    field).
-            if (dc) {
+            if (st.dc) {
                 obj.set_dc_model(cfg.use_bbox_dc_model
                                      ? DcModel::BoundingBox
                                      : DcModel::NetMoving);
@@ -630,22 +626,19 @@ RoutabilityStats run_routability_stage(
             }
 
             // 5. Inner Nesterov iterations on Eq. (5).
-            NesterovSolver solver(pos, nes_cfg);
+            NesterovSolver solver(st.pos, nes_cfg);
             if (guard.active() &&
                 recover::fault::fire(kStage,
                                      recover::FaultKind::HpwlExplosion,
                                      outer)) {
-                // Fling the optimizer state far outside the die; the WA
-                // total blows past the explosion threshold next evaluate.
-                std::vector<Vec2> blown = pos;
-                const Vec2 c = d.region.center();
-                for (Vec2& p : blown)
-                    p = {c.x + (p.x - c.x) * 1e4, c.y + (p.y - c.y) * 1e4};
-                solver = NesterovSolver(std::move(blown), nes_cfg);
+                // The WA total blows past the explosion threshold at the
+                // next evaluate.
+                solver = NesterovSolver(fling_out(st.pos, d.region.center()),
+                                        nes_cfg);
             }
             std::vector<Vec2> grad;
             double penalty = 0.0;
-            double attempt_wl = last_wl;
+            double attempt_wl = st.last_wl;
             for (int it = 0; it < cfg.inner_iters; ++it) {
                 const ObjectiveTerms terms =
                     obj.evaluate(d, movable, solver.reference(), grad);
@@ -655,44 +648,15 @@ RoutabilityStats run_routability_stage(
                             kStage, recover::FaultKind::GradientNaN, outer))
                         grad[0].x =
                             std::numeric_limits<double>::quiet_NaN();
-                    // Catch non-finite gradients before they step: a NaN
-                    // position would poison every later evaluation (and
-                    // the grid index casts behind it).
-                    for (size_t gi = 0; gi < grad.size(); ++gi) {
-                        if (std::isfinite(grad[gi].x) &&
-                            std::isfinite(grad[gi].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite gradient of slot " << gi
-                            << " at inner iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                    // Divergence detection: non-finite objective terms
-                    // (NaN gradients poison the terms one step later) and
-                    // wirelength beyond k x the checkpoint / die bound.
-                    const double tsum = terms.wirelength + terms.density +
-                                        terms.congestion;
-                    if (!std::isfinite(tsum)) {
-                        std::ostringstream oss;
-                        oss << "non-finite objective terms at inner"
-                            << " iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                    const double bound =
+                    check_finite(grad, kStage, "gradient", "inner iteration",
+                                 it);
+                    // NaN gradients poison the terms one step later.
+                    check_objective_terms(
+                        terms.wirelength + terms.density + terms.congestion,
+                        terms.wirelength,
                         cfg.recover.hpwl_explosion_factor *
-                        std::max(ckpt.wirelength, die_bound);
-                    if (terms.wirelength > bound) {
-                        std::ostringstream oss;
-                        oss << "WA wirelength " << terms.wirelength
-                            << " exceeds the explosion bound " << bound;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::HpwlExplosion, kStage,
-                            oss.str());
-                    }
+                            std::max(ckpt.last_wl, die_bound),
+                        kStage, "inner iteration", it);
                 }
                 penalty = terms.congestion;
                 solver.step(grad, project);
@@ -700,30 +664,15 @@ RoutabilityStats run_routability_stage(
                 // target is not met; once spread, wirelength/congestion
                 // lead.
                 if (terms.overflow > cfg.stop_overflow)
-                    obj.set_lambda1(obj.lambda1() * lambda1_growth);
+                    obj.set_lambda1(obj.lambda1() * st.lambda1_growth);
                 attempt_wl = terms.wirelength;
             }
-            {
-                // Last line of defense before NaN positions reach the
-                // design: scan the solution once (observe-only).
-                const std::vector<Vec2>& sol = solver.solution();
-                if (guard.active()) {
-                    for (size_t i = 0; i < sol.size(); ++i) {
-                        if (std::isfinite(sol[i].x) &&
-                            std::isfinite(sol[i].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite solution position of slot " << i;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                }
-                pos = sol;
-            }
-            for (size_t i = 0; i < movable.size(); ++i)
-                d.cells[static_cast<size_t>(movable[i])].pos = pos[i];
-            last_wl = attempt_wl;
+            // Last line of defense before NaN positions reach the design.
+            if (guard.active())
+                check_finite(solver.solution(), kStage, "solution position");
+            st.pos = solver.solution();
+            place_cells(st.pos);
+            st.last_wl = attempt_wl;
             stats.penalty.push_back(penalty);
             ++stats.outer_iters;
 
@@ -738,12 +687,13 @@ RoutabilityStats run_routability_stage(
             //    (paper: "until C(x,y) no longer decreases or the given
             //    number of iterations is reached"). When DC is off the
             //    router overflow serves as the metric.
-            const double metric = dc ? penalty : cmap.weighted_overflow();
+            const double metric =
+                st.dc ? penalty : cmap.weighted_overflow();
             ++outer;
-            if (metric < best_metric - 1e-9) {
-                best_metric = metric;
-                stall = 0;
-            } else if (++stall >= cfg.stop_patience) {
+            if (metric < st.best_metric - 1e-9) {
+                st.best_metric = metric;
+                st.stall = 0;
+            } else if (++st.stall >= cfg.stop_patience) {
                 break;
             }
             continue;
@@ -751,7 +701,7 @@ RoutabilityStats run_routability_stage(
             stats.total_overflow.resize(mark_overflow);
             stats.mean_inflation.resize(mark_inflation);
             stats.penalty.resize(mark_penalty);
-            osc_window.clear();
+            st.osc_window.clear();
             if (!apply_recovery(e.kind(), e.what())) break;
             continue;
         } catch (const AuditFailure& e) {
@@ -759,7 +709,7 @@ RoutabilityStats run_routability_stage(
             stats.total_overflow.resize(mark_overflow);
             stats.mean_inflation.resize(mark_inflation);
             stats.penalty.resize(mark_penalty);
-            osc_window.clear();
+            st.osc_window.clear();
             if (!apply_recovery(recover::classify_audit_failure(e),
                                 e.what()))
                 break;
@@ -779,30 +729,23 @@ RoutabilityStats run_routability_stage(
                       .weighted_overflow()
                 : router->route(d, incremental ? &inc_route : nullptr)
                       .congestion.weighted_overflow();
-        if (severe < best_overflow * (1.0 - cfg.keep_best_margin)) {
-            best_overflow = severe;
-            best_pos = pos;
-            best_ratios = effective_ratios;
-            best_extra_area = grid_sum(extra);
-            best_inflation = scheme->snapshot();
-            best_iter = stats.outer_iters;
-        }
-        for (size_t i = 0; i < movable.size(); ++i)
-            d.cells[static_cast<size_t>(movable[i])].pos = best_pos[i];
-        effective_ratios = best_ratios;
-        scheme->restore(best_inflation);
-        stats.best_iter = best_iter;
-        stats.final_ratios = best_ratios;
-        stats.final_extra_area = best_extra_area;
+        if (severe < st.best_overflow * (1.0 - cfg.keep_best_margin))
+            keep_best(severe, stats.outer_iters);
+        place_cells(st.best_pos);
+        st.ratios = st.best_ratios;
+        scheme->restore(st.best_inflation);
+        stats.best_iter = st.best_iter;
+        stats.final_ratios = st.best_ratios;
+        stats.final_extra_area = st.best_extra_area;
         // Re-audit the restored pairing: the bookkeeping must balance for
         // the snapshot exactly as it did when the snapshot was scored.
         if (audit_enabled())
-            audit::check_inflation_budget(d, first_filler, effective_ratios,
+            audit::check_inflation_budget(d, first_filler, st.ratios,
                                           cfg.inflation_budget_frac,
-                                          best_extra_area);
+                                          st.best_extra_area);
     }
 
-    // Detach caller-owned state before `extra`/`scheme` go out of scope.
+    // Detach caller-owned state before `st`/`scheme` go out of scope.
     obj.set_congestion(nullptr, nullptr);
     obj.set_extra_density(nullptr);
     obj.set_inflation(nullptr);

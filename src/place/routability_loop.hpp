@@ -2,7 +2,14 @@
 // Stage 2 of the framework: the routability-driven outer loop of paper
 // Fig. 2. Split from GlobalPlacer so it can be driven directly by tests
 // and by the ablation bench.
+//
+// The loop holds its state in one recover::PipelineSnapshot (DESIGN.md
+// §11, §16). A capture refreshes it from the live objects (objective
+// schedule, inflation scheme, router relaxation, congestion map); an apply
+// writes it back. Rollback checkpoints, keep-best and the durable journal
+// all go through that one capture/apply pair.
 
+#include <functional>
 #include <memory>
 
 #include "place/global_placer.hpp"
@@ -43,12 +50,13 @@ struct RoutabilityStats {
 /// inflated cell area is taken from the fillers so the total charge stays
 /// feasible and the density term cannot diverge.
 ///
-/// `durable` (optional) journals a PipelineSnapshot at every outer
-/// iteration boundary; `resume` (optional, stage == kStageRoutability)
-/// restarts the loop from such a snapshot — positions, inflation, maps,
-/// router relaxations, and best-so-far state all restored, incremental
-/// route/RUDY caches invalidated exactly as on recovery rollbacks — and
-/// continues to a bitwise-identical final placement (DESIGN.md §16).
+/// `durable` (optional) journals the loop's PipelineSnapshot at every
+/// outer iteration boundary; `resume` (optional, stage ==
+/// kStageRoutability) applies such a snapshot in full — positions,
+/// inflation, maps, router relaxations, and best-so-far state, with the
+/// incremental route/RUDY caches invalidated exactly as on recovery
+/// rollbacks — and continues to a bitwise-identical final placement
+/// (DESIGN.md §16).
 RoutabilityStats run_routability_stage(
     Design& d, const std::vector<int>& movable, PlacementObjective& obj,
     const PlacerConfig& cfg, const std::vector<PGRail>& selected_rails,
@@ -64,6 +72,35 @@ RoutabilityStats run_routability_stage(
 double budget_inflation(const Design& d, int first_filler,
                         std::vector<double>& ratios,
                         double usable_filler_frac, double extra_area = 0.0);
+
+/// Physical upper bound on any in-region WA wirelength: one die span
+/// (width + height) per routed net. Both Nesterov stages floor their
+/// explosion threshold at a multiple of it, so legitimate many-fold
+/// wirelength growth (early spreading) can never false-positive.
+double die_wirelength_bound(const Design& d);
+
+/// The projection both Nesterov stages step under: clamps the point of
+/// optimizer slot `slot` (cell movable[slot]) so the cell stays inside the
+/// placement region. The result refers to `d` and `movable`.
+std::function<Vec2(size_t, Vec2)> region_projection(
+    const Design& d, const std::vector<int>& movable);
+
+/// Divergence detection shared by both Nesterov stages (DESIGN.md §11).
+/// Each check only observes; a failure throws recover::RecoverableError
+/// for `stage`, naming the iteration as "<at> <it>".
+/// GradientNaN on the first non-finite slot of `v` (a gradient or a
+/// solution): a NaN position would poison every later evaluation (and the
+/// grid index casts behind it).
+void check_finite(const std::vector<Vec2>& v, const char* stage,
+                  const char* what, const char* at = nullptr, int it = 0);
+/// GradientNaN on a non-finite objective-term sum, then HpwlExplosion on a
+/// WA wirelength beyond `bound` (k x max(checkpoint wirelength, die
+/// bound)).
+void check_objective_terms(double term_sum, double wirelength, double bound,
+                           const char* stage, const char* at, int it);
+/// Fault-injection helper: `pos` scaled 1e4-fold about `c`, flinging the
+/// optimizer state far outside the die.
+std::vector<Vec2> fling_out(std::vector<Vec2> pos, Vec2 c);
 
 /// Create the inflation scheme matching mode/toggles (exposed for tests).
 std::unique_ptr<InflationScheme> make_inflation_scheme(const PlacerConfig& cfg,

@@ -1,10 +1,14 @@
 #pragma once
-// Durable crash-consistent checkpointing (DESIGN.md §16).
+// The pipeline state and its durable crash-consistent journal (DESIGN.md
+// §11, §16).
 //
-// The in-memory StageCheckpoint (checkpoint.hpp) dies with the process;
-// this layer persists the pipeline state a stage boundary needs so a run
-// killed at any instruction — OOM, preemption, power loss — resumes and
-// finishes **bitwise identical** to the uninterrupted run.
+// PipelineSnapshot is the one pipeline-state type. Each Nesterov stage
+// captures it from its live objects and applies it back: an in-memory copy
+// is the recovery rollback checkpoint (§11), its best_* fields are the
+// stage-2 keep-best snapshot, and this layer persists it at stage
+// boundaries so a run killed at any instruction — OOM, preemption, power
+// loss — resumes and finishes **bitwise identical** to the uninterrupted
+// run.
 //
 // Format: a versioned binary snapshot ("RDPCKPT\0", format version,
 // design/config fingerprint, stage/iteration cursor) holding tagged
@@ -56,10 +60,13 @@ struct OptimizerSnapshot {
     bool have_prev = false;
 };
 
-/// Everything a stage-boundary resume must restore. Stage 1 uses the
-/// cursor/position/optimizer/scalar fields; stage 2 additionally carries
-/// inflation, best-so-far, map, and router-relaxation state (its inner
-/// solver is rebuilt fresh every outer iteration, so `opt` stays empty).
+/// The pipeline state of one Nesterov stage: everything a resume restores,
+/// of which a rollback restores positions, schedule and inflation. Stage 1
+/// uses the cursor/position/optimizer/scalar fields; stage 2 additionally
+/// carries inflation, best-so-far, map, and router-relaxation state (its
+/// inner solver is rebuilt fresh every outer iteration, so `opt` stays
+/// empty) and keeps its live positions, ratios and extra field in the
+/// snapshot itself.
 struct PipelineSnapshot {
     int stage = 0;
     int iter = 0;
@@ -95,6 +102,9 @@ struct PipelineSnapshot {
     GridF cmap_demand;    ///< last routed congestion map
     GridF cmap_capacity;  ///< (empty grids when no route happened yet)
     std::vector<double> osc_window;
+
+    /// False until a stage captured into it (stage 0 is no stage).
+    bool valid() const { return stage != 0; }
 };
 
 /// Knobs of the durable layer; disabled while `dir` is empty.

@@ -93,6 +93,32 @@ TEST(ParallelReduceTest, SumIsThreadInvariant) {
     });
 }
 
+TEST(ParallelReduceTest, BoolPartialsDoNotShareWords) {
+    // One bool per chunk: the partials must live in separate memory
+    // locations, or chunks on different threads overwrite each other's
+    // results (a std::vector<bool> packs them into shared words). The XOR
+    // combine depends on every partial, so a lost write changes the
+    // result; ThreadSanitizer also reports the racing writes directly.
+    ThreadGuard guard;
+    constexpr size_t kChunks = 64;
+    auto reduce = [&](size_t rep) {
+        return par::parallel_reduce(
+            kChunks, 1, false,
+            [&](size_t b, size_t e) {
+                bool x = false;
+                for (size_t i = b; i < e; ++i) x ^= (i * 7 + rep) % 3 == 0;
+                return x;
+            },
+            [](bool a, bool b) { return a != b; });
+    };
+    for (size_t rep = 0; rep < 200; ++rep) {
+        par::set_max_threads(1);
+        const bool serial = reduce(rep);
+        par::set_max_threads(4);
+        ASSERT_EQ(reduce(rep), serial) << "repetition " << rep;
+    }
+}
+
 TEST(ParallelReduceTest, NestedParallelRunsInline) {
     ThreadGuard guard;
     par::set_max_threads(8);
